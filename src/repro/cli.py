@@ -597,7 +597,8 @@ def _timings_table_text(timings: dict) -> str:
     if not timings:
         return ("(no phase timings recorded: snapshot served from a cache "
                 "written before timings existed)")
-    phases = ["workload_s", "schedule_s", "trace_s", "power_s", "total_s"]
+    phases = ["calibrate_s", "workload_s", "schedule_s", "trace_s", "power_s",
+              "total_s"]
     rows = []
     for site, site_timings in timings.items():
         row = {"site": site}

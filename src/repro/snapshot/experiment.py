@@ -19,6 +19,7 @@ convenience evaluations of the scenario grids (Tables 3 and 4).
 
 from __future__ import annotations
 
+import itertools
 import os
 import shutil
 import tempfile
@@ -38,6 +39,7 @@ from repro.core.scenarios import ActiveScenarioGrid, EmbodiedScenarioGrid
 from repro.inventory.catalog import HardwareCatalog, default_catalog
 from repro.inventory.network import NetworkFabric
 from repro.inventory.node import NodeSpec
+from repro.power.calibration import utilization_for_fleet_power
 from repro.power.campaign import MeasurementCampaign, SiteEnergyReport
 from repro.power.fleet_power import ShardedPowerBreakdownTrace
 from repro.power.instruments import FacilityMeter, IPMIMeter, PDUMeter, TurbostatMeter
@@ -97,9 +99,10 @@ class SiteSnapshotResult:
     #: before traces were kept (a flat profile is substituted downstream).
     site_power_series: Optional["TimeSeries"] = None
 
-    #: Wall-clock seconds per simulation phase (``workload_s``,
-    #: ``schedule_s``, ``trace_s``, ``power_s``, ``total_s``), recorded by
-    #: the experiment; ``None`` for results built before timings were kept.
+    #: Wall-clock seconds per simulation phase (``calibrate_s``,
+    #: ``workload_s``, ``schedule_s``, ``trace_s``, ``power_s``,
+    #: ``total_s``), recorded by the experiment; ``None`` for results built
+    #: before timings were kept.
     #: Diagnostic only — never part of any digest or golden payload.
     timings: Optional[Mapping[str, float]] = None
 
@@ -157,8 +160,10 @@ class SnapshotResult:
     def timings(self) -> Dict[str, Dict[str, float]]:
         """Per-site wall-clock phase seconds, for sites that recorded them.
 
-        Keys are site names; values map phase (``workload_s``,
-        ``schedule_s``, ``trace_s``, ``power_s``, ``total_s``) to seconds.
+        Keys are site names; values map phase (``calibrate_s``,
+        ``workload_s``, ``schedule_s``, ``trace_s``, ``power_s``,
+        ``total_s``) to seconds; caches written before calibration was
+        timed lack ``calibrate_s``.
         Diagnostic output for ``repro assess --timings`` and perf work —
         deliberately excluded from result digests, goldens and catalogs.
         """
@@ -446,25 +451,12 @@ class SnapshotExperiment:
         if site.target_node_power_w is None:
             return site.default_utilization
         target = site.target_node_power_w * site.calibration_margin
-        models = [NodePowerModel(spec) for spec in specs]
-
-        def mean_power(utilization: float) -> float:
-            return float(np.mean([m.wall_power_w(utilization) for m in models]))
-
-        low_power = mean_power(0.0)
-        high_power = mean_power(1.0)
-        if target <= low_power:
-            return 0.0
-        if target >= high_power:
-            return 1.0
-        low, high = 0.0, 1.0
-        for _ in range(60):
-            mid = 0.5 * (low + high)
-            if mean_power(mid) < target:
-                low = mid
-            else:
-                high = mid
-        return 0.5 * (low + high)
+        runs = [(spec, sum(1 for _ in run)) for spec, run in itertools.groupby(specs)]
+        return utilization_for_fleet_power(
+            [NodePowerModel(spec) for spec, _ in runs],
+            [count for _, count in runs],
+            target,
+        )
 
     def _build_cluster(self, node_ids: Sequence[str], specs: Sequence[NodeSpec]) -> SimulatedCluster:
         nodes = [
@@ -493,20 +485,22 @@ class SnapshotExperiment:
     def run_site(self, site: SiteSnapshotConfig) -> SiteSnapshotResult:
         """Simulate and measure one site for the snapshot window.
 
-        Records per-phase wall-clock seconds (workload generation,
-        scheduling, trace construction, power modelling + measurement) on
-        the returned result's ``timings`` — the measured baseline future
-        perf work starts from.
+        Records per-phase wall-clock seconds (load calibration, workload
+        generation, scheduling, trace construction, power modelling +
+        measurement, and the site total) on the returned result's
+        ``timings`` — diagnostic only, never part of a digest.
         """
         config = self._config
         t_site = time.perf_counter()
         node_ids, specs = self._site_specs(site)
+        timings: Dict[str, float] = {}
+        t_phase = time.perf_counter()
         target_utilization = self._site_target_utilization(site, specs)
+        timings["calibrate_s"] = time.perf_counter() - t_phase
         cluster = self._build_cluster(node_ids, specs)
         duration_s = config.duration_s
         warmup_s = config.warmup_hours * 3600.0
         sharded = self._engine == "sharded"
-        timings: Dict[str, float] = {}
 
         if target_utilization > 0.0:
             t_phase = time.perf_counter()

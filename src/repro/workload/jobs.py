@@ -71,10 +71,10 @@ class Job:
 class WorkloadProfile:
     """Statistical description of a site's workload.
 
-    The defaults describe a busy high-throughput site; the
-    :func:`repro.power.calibration.utilization_for_target_power` helper is
-    normally used to pick ``target_utilization`` so the simulated site lands
-    on the measured per-node power of Table 2.
+    The defaults describe a busy high-throughput site; the snapshot picks
+    ``target_utilization`` with
+    :func:`repro.power.calibration.utilization_for_fleet_power` so the
+    simulated site lands on the measured per-node power of Table 2.
     """
 
     #: Long-run average fraction of the cluster's cores that should be busy.
@@ -196,13 +196,20 @@ class JobGenerator:
             arrivals = arrivals[keep]
         jobs: List[Job] = []
         job_id = 0
-        for arrival in arrivals:
-            # Geometric widths have mean exactly `mean_cores_per_job`.
-            cores = int(min(rng.geometric(1.0 / p.mean_cores_per_job), self._max_cores))
-            runtime = float(rng.lognormal(np.log(p.median_runtime_s), p.runtime_sigma))
+        # Loop invariants, hoisted; the per-arrival draw order below is part
+        # of the seeded stream and must not change.
+        geometric, lognormal, uniform = rng.geometric, rng.lognormal, rng.uniform
+        # Geometric widths have mean exactly `mean_cores_per_job`.
+        width_p = 1.0 / p.mean_cores_per_job
+        log_median = np.log(p.median_runtime_s)
+        sigma = p.runtime_sigma
+        low, high = p.cpu_intensity_low, p.cpu_intensity_high
+        max_cores = self._max_cores
+        for submit in (arrivals - warmup_s).tolist():
+            cores = int(min(geometric(width_p), max_cores))
+            runtime = float(lognormal(log_median, sigma))
             runtime = max(runtime, 60.0)
-            intensity = float(rng.uniform(p.cpu_intensity_low, p.cpu_intensity_high))
-            submit = arrival - warmup_s
+            intensity = float(uniform(low, high))
             if submit < 0.0:
                 # A warm-up job: only the part of it still running at time
                 # zero matters.  Jobs that would have finished before the

@@ -2,8 +2,8 @@
 
 One home for the strategies the property files used to hand-roll
 separately: scalar quantities, time-series shapes, bounded distributions,
-assessment-spec scenario fields, portfolio load shares and site snapshot
-configurations.  Import from here instead of redefining::
+assessment-spec scenario fields, portfolio load shares, site snapshot
+configurations and mixed node fleets.  Import from here instead of redefining::
 
     from strategies import finite_positive, series_values, load_shares
 
@@ -17,6 +17,7 @@ from __future__ import annotations
 from hypothesis import strategies as st
 
 from repro.api.spec import AssessmentSpec
+from repro.inventory.catalog import default_catalog
 from repro.portfolio.spec import PortfolioMember, PortfolioSpec
 from repro.snapshot.config import SiteSnapshotConfig
 from repro.uncertainty.distributions import Discrete, Empirical, Triangular, Uniform
@@ -209,6 +210,33 @@ def site_snapshot_configs(draw, site: str = "SITE"):
     )
 
 
+# -- mixed node fleets ----------------------------------------------------------
+
+@st.composite
+def mixed_fleets(draw, max_runs: int = 3, max_count: int = 40):
+    """A fleet as ordered ``(NodeSpec, count)`` runs from the stock catalog.
+
+    One to ``max_runs`` runs; neighbouring runs may share a spec (a site
+    whose compute model is its storage model) and any run may be empty (a
+    site with no storage nodes), but the fleet always has a node.
+    """
+    catalog = default_catalog()
+    size = draw(st.integers(min_value=1, max_value=max_runs))
+    specs = [catalog.node(draw(st.sampled_from(catalog.node_models)))
+             for _ in range(size)]
+    counts = draw(st.lists(st.integers(min_value=0, max_value=max_count),
+                           min_size=size, max_size=size))
+    if sum(counts) == 0:
+        counts[0] = 1
+    return list(zip(specs, counts))
+
+
+#: Per-node wall-power targets in watts: spans below every stock model's
+#: idle draw (~67 W) to above every model's maximum (~711 W).
+fleet_power_targets = st.floats(min_value=0.0, max_value=1000.0,
+                                allow_nan=False)
+
+
 __all__ = [
     "REGION_CODES",
     "analysis_overrides",
@@ -216,11 +244,13 @@ __all__ = [
     "bounded_distributions",
     "factors",
     "finite_positive",
+    "fleet_power_targets",
     "intensities",
     "intensity_values",
     "job_streams",
     "lifetimes",
     "load_shares",
+    "mixed_fleets",
     "portfolio_specs",
     "positive_floats",
     "pues",

@@ -268,6 +268,7 @@ class TestTimingsFlag:
         out = capsys.readouterr().out
         assert "Per-site simulation wall-clock" in out
         assert "schedule_s" in out
+        assert "calibrate_s" in out
         assert "TOTAL" in out
 
     def test_json_gains_timings_key(self, capsys):
@@ -280,6 +281,7 @@ class TestTimingsFlag:
             "QMUL", "CAM", "DUR", "STFC CLOUD", "STFC SCARF", "IMP"}
         for phases in payload["timings"].values():
             assert phases["total_s"] >= 0.0
+            assert 0.0 <= phases["calibrate_s"] <= phases["total_s"]
         # The recorded result body itself is unchanged by --timings.
         assert "timings" not in payload["summary"]
 

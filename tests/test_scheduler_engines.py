@@ -341,10 +341,11 @@ class TestExperimentPlumbing:
         timings = result.timings
         assert set(timings) == {r.site for r in result.site_results}
         for phases in timings.values():
-            assert {"workload_s", "schedule_s", "trace_s", "power_s",
-                    "total_s"} <= set(phases)
+            assert {"calibrate_s", "workload_s", "schedule_s", "trace_s",
+                    "power_s", "total_s"} <= set(phases)
             assert all(value >= 0.0 for value in phases.values())
             assert phases["total_s"] >= phases["schedule_s"]
+            assert phases["total_s"] >= phases["calibrate_s"]
 
     def test_scheduler_engine_property(self):
         config = build_iris_snapshot_config(node_scale=0.02)
